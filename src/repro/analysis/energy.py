@@ -148,29 +148,28 @@ def run_managed(
     """
     tau = scenario.grid.tau
     demand = _tile(scenario.event_demand, n_periods)
-    expected_supply = _tile(scenario.charging, n_periods)
-    actual_supply = expected_supply * supply_factor
+    actual_supply = _tile(scenario.charging, n_periods) * supply_factor
     manager = build_manager(scenario, frontier)
     manager.plan()
     manager.start()
     battery = Battery(scenario.spec)
-    used = np.empty_like(demand)
-    delivered = np.empty_like(demand)
-    levels = np.empty_like(demand)
-    allocated = np.empty_like(demand)
+    # per-slot books as plain floats, turned into arrays once at the end
+    used: list[float] = []
+    delivered: list[float] = []
+    levels: list[float] = []
+    allocated: list[float] = []
     undersupplied_vs_demand = 0.0
-    for k in range(demand.size):
+    for wanted, supplied in zip(demand.tolist(), actual_supply.tolist()):
         point = manager.decide()
-        allocated[k] = manager.window[0]
-        step = battery.step(actual_supply[k], point.power, tau)
-        used[k] = point.power
-        delivered[k] = step.drawn / tau
-        levels[k] = step.level
+        allocated.append(manager.budget)
+        step = battery.step(supplied, point.power, tau)
+        drawn = step.drawn / tau
+        used.append(point.power)
+        delivered.append(drawn)
+        levels.append(step.level)
         # Demand energy not served this slot (plan throttling + battery floor)
-        undersupplied_vs_demand += max(0.0, (demand[k] - delivered[k]) * tau)
-        manager.advance(
-            used_power=delivered[k], supplied_power=actual_supply[k]
-        )
+        undersupplied_vs_demand += max(0.0, (wanted - drawn) * tau)
+        manager.step(used_power=drawn, supplied_power=supplied)
     return EnergyRunResult(
         name=name,
         wasted=battery.total_wasted,
@@ -179,10 +178,10 @@ def run_managed(
         supplied=float(actual_supply.sum() * tau),
         delivered=battery.total_drawn,
         demand=float(demand.sum() * tau),
-        used_power=used,
-        delivered_power=delivered,
-        battery_level=levels,
-        allocated_power=allocated,
+        used_power=np.array(used, dtype=float),
+        delivered_power=np.array(delivered, dtype=float),
+        battery_level=np.array(levels, dtype=float),
+        allocated_power=np.array(allocated, dtype=float),
         plan_iterations=manager.allocation.n_iterations,
         plan_used_fallback=manager.allocation.used_fallback,
         plan_feasible=manager.allocation.feasible,

@@ -238,7 +238,7 @@ def runtime_table(
     n_slots = scenario.grid.n_slots
     for k in range(n_periods * n_slots):
         point = manager.decide()
-        pinit_now = float(manager.window[0])
+        pinit_now = manager.budget
         expected = scenario.charging[k % n_slots]
         supplied = expected * supply_factor
         step = battery.step(supplied, point.power, tau)

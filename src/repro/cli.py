@@ -561,14 +561,19 @@ def _fleet_main(argv: list[str]) -> int:
                 lambda backend: gateway.notify_backend_restarted(backend.address)
             )
 
-        drained = threading.Event()
+        drain_lock = threading.Lock()
+        drained = False
 
         def _drain() -> None:
-            if drained.is_set():
-                return
-            drained.set()
-            gateway.stop()
-            launcher.terminate()
+            # The signal handler drains on a thread, and serve_forever()
+            # returns as soon as the gateway stops — before the backends are
+            # gone.  The main thread drains too, so it waits here for them.
+            nonlocal drained
+            with drain_lock:
+                if not drained:
+                    gateway.stop()
+                    launcher.terminate()
+                    drained = True
 
         def _handler(signum: int, frame) -> None:
             threading.Thread(target=_drain, name="fleet-drain", daemon=True).start()
@@ -588,7 +593,7 @@ def _fleet_main(argv: list[str]) -> int:
             flush=True,
         )
         gateway.serve_forever()
-        _drain()  # shutdown RPC path: gateway stopped on its own
+        _drain()  # after a signal: wait for its drain; after shutdown: drain
         return 0
     finally:
         if socket_dir_ctx is not None:

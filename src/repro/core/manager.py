@@ -28,7 +28,7 @@ from ..util.schedule import Schedule
 from .allocation import AllocationResult, allocate_cached
 from .pareto import OperatingFrontier, OperatingPoint
 from .parameters import ParameterSchedule, SwitchingOverheads, plan_parameters
-from .update import redistribute_deviation
+from .update import fold_deviation, redistribute_deviation
 from .wpuf import desired_usage
 
 __all__ = ["ManagerStep", "DynamicPowerManager"]
@@ -121,7 +121,9 @@ class DynamicPowerManager:
         # run-time state
         self._slot: int = 0
         self._level: float = float(spec.initial)
-        self._window: np.ndarray | None = None
+        self._window: list[float] | None = None
+        self._base: list[float] = []
+        self._charging_ring: list[float] = []
         self._point: OperatingPoint = frontier.points[0]
         self.history: list[ManagerStep] = []
 
@@ -204,29 +206,30 @@ class DynamicPowerManager:
         self._slot = int(slot)
         s0 = self.grid.slot_index(slot)
         self._level = float(self.spec.initial if level is None else level)
-        self._window = np.roll(self.base_usage.values, -s0)
+        # The slot loop runs on plain floats: the base plan, and the charging
+        # forecast over two periods, so one period ahead of any slot is a slice.
+        self._base = self.base_usage.values.tolist()
+        self._charging_ring = self.charging.values.tolist() * 2
+        window = np.roll(self.base_usage.values, -s0)
         self._point = self.frontier.points[0]
         self.history = []
         # gap vs. the *planned* level at this point of the period
         planned_here = float(self.allocation.trajectory[s0])
         start_gap = self._level - planned_here
         if abs(start_gap) > 1e-9:
-            charging = np.array(
-                [self.charging[s0 + i] for i in range(self._window.size)]
-            )
-            result = redistribute_deviation(
-                self._window,
+            window = redistribute_deviation(
+                window,
                 start_gap,
-                charging=charging,
+                charging=np.array(self._charging_ring[s0 : s0 + window.size]),
                 initial_level=self._level,
                 spec=self.spec,
                 tau=self.grid.tau,
                 floor=self.usage_floor,
                 ceiling=self.usage_ceiling,
-            )
-            self._window = result.pinit
+            ).pinit
+        self._window = window.tolist()
 
-    def _require_started(self) -> np.ndarray:
+    def _require_started(self) -> list[float]:
         if self._window is None:
             raise RuntimeError("call start() before the run-time loop")
         return self._window
@@ -242,7 +245,12 @@ class DynamicPowerManager:
     @property
     def window(self) -> np.ndarray:
         """Copy of the rolling one-period allocation window."""
-        return self._require_started().copy()
+        return np.array(self._require_started())
+
+    @property
+    def budget(self) -> float:
+        """Allocation ``P_init(t)`` for the current slot (the window's head)."""
+        return self._require_started()[0]
 
     def decide(self) -> OperatingPoint:
         """Pick the operating point for the current slot (Algorithm 2 step).
@@ -250,8 +258,7 @@ class DynamicPowerManager:
         Idempotent: does not advance time.  Applies the overhead gate
         against the point active in the previous slot.
         """
-        window = self._require_started()
-        budget = float(window[0])
+        budget = self._require_started()[0]
         candidate = self.frontier.best_within_power(budget)
         if candidate == self._point:
             return self._point
@@ -273,54 +280,16 @@ class DynamicPowerManager:
         ``used_power`` defaults to the decided point's power (a perfectly
         obedient system); ``supplied_power`` defaults to the expected
         charging schedule.  Passing measured values is how the simulator
-        exercises Section 4.3.
+        exercises Section 4.3.  The interval is recorded in :attr:`history`.
         """
-        window = self._require_started()
-        tau = self.grid.tau
-        slot_in_period = self.grid.slot_index(self._slot)
-        time = self._slot * tau
-
-        decision = self.decide()
-        switched = decision != self._point
-        overhead = self.overheads.cost(self._point, decision) if switched else 0.0
-        self._point = decision
-
-        drawn = decision.power + overhead / tau if used_power is None else float(used_power)
-        expected_c = self.charging[slot_in_period]
-        supplied = expected_c if supplied_power is None else float(supplied_power)
-
-        allocated = float(window[0])
-        # Deviation seen by the battery vs. the plan: usage shortfall/excess
-        # plus supply surprise (Section 4.3 folds both through Algorithm 3).
-        e_diff = (allocated - drawn) * tau + (supplied - expected_c) * tau
-
-        # battery bookkeeping (clamped; waste/undersupply tracked by the sim)
-        self._level = self.spec.clamp(self._level + (supplied - drawn) * tau)
-
-        # roll the window: drop the consumed slot, append next period's base
-        next_base = self.base_usage[slot_in_period]  # same slot, next period
-        rolled = np.concatenate([window[1:], [next_base]])
-
-        # expected charging aligned with the rolled window
-        future_charge = np.array(
-            [self.charging[slot_in_period + 1 + i] for i in range(rolled.size)]
+        slot = self._slot
+        allocated = self._require_started()[0]
+        decision, drawn, supplied, expected_c, e_diff = self.step(
+            used_power=used_power, supplied_power=supplied_power
         )
-        result = redistribute_deviation(
-            rolled,
-            e_diff,
-            charging=future_charge,
-            initial_level=self._level,
-            spec=self.spec,
-            tau=tau,
-            floor=self.usage_floor,
-            ceiling=self.usage_ceiling,
-        )
-        self._window = result.pinit
-        self._slot += 1
-
         step = ManagerStep(
-            slot=self._slot - 1,
-            time=time,
+            slot=slot,
+            time=slot * self.grid.tau,
             allocated_power=allocated,
             point=decision,
             used_power=drawn,
@@ -328,10 +297,60 @@ class DynamicPowerManager:
             expected_supply_power=expected_c,
             e_diff=e_diff,
             level=self._level,
-            window=self._window.copy(),
+            window=np.array(self._window),
         )
         self.history.append(step)
         return step
+
+    def step(
+        self,
+        *,
+        used_power: float | None = None,
+        supplied_power: float | None = None,
+    ) -> tuple[OperatingPoint, float, float, float, float]:
+        """:meth:`advance` without building or recording a
+        :class:`ManagerStep`, for closed loops that keep their own books.
+
+        Returns the operating point used and the drawn power, supplied
+        power, expected supply (W) and ``E_diff`` (J) of the interval.
+        """
+        window = self._require_started()
+        tau = self.grid.tau
+        slot_in_period = self.grid.slot_index(self._slot)
+
+        decision = self.decide()
+        switched = decision != self._point
+        overhead = self.overheads.cost(self._point, decision) if switched else 0.0
+        self._point = decision
+
+        drawn = decision.power + overhead / tau if used_power is None else float(used_power)
+        expected_c = self._charging_ring[slot_in_period]
+        supplied = expected_c if supplied_power is None else float(supplied_power)
+
+        # Deviation seen by the battery vs. the plan: usage shortfall/excess
+        # plus supply surprise (Section 4.3 folds both through Algorithm 3).
+        e_diff = (window[0] - drawn) * tau + (supplied - expected_c) * tau
+
+        # battery bookkeeping (clamped; waste/undersupply tracked by the sim)
+        self._level = self.spec.clamp(self._level + (supplied - drawn) * tau)
+
+        # roll the window: drop the consumed slot, append the same slot of
+        # the next period from the base plan, and fold E_diff into it
+        rolled = window[1:]
+        rolled.append(self._base[slot_in_period])
+        fold_deviation(
+            rolled,
+            e_diff,
+            charging=self._charging_ring[slot_in_period + 1 : slot_in_period + 1 + len(rolled)],
+            initial_level=self._level,
+            spec=self.spec,
+            tau=tau,
+            floor=self.usage_floor,
+            ceiling=self.usage_ceiling,
+        )
+        self._window = rolled
+        self._slot += 1
+        return decision, drawn, supplied, expected_c, e_diff
 
     # ------------------------------------------------------------------
     def run(self, n_slots: int) -> list[ManagerStep]:

@@ -212,6 +212,9 @@ class HealthMonitor:
         # transport error (see PlanClient.request) and reconnects on the
         # next probe, so a flapping backend cannot leak sockets.
         self._clients: "dict[str, PlanClient]" = {}
+        # The probe loop and callers of probe_once() share those clients,
+        # and the status kept must be the one from the latest probe.
+        self._probe_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
 
@@ -255,7 +258,14 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
     def probe_once(self) -> "dict[str, bool]":
-        """Probe every backend now; returns address → reachable."""
+        """Probe every backend now; returns address → reachable.
+
+        Probes run one at a time, so a probe that returns has the last word.
+        """
+        with self._probe_lock:
+            return self._probe_all()
+
+    def _probe_all(self) -> "dict[str, bool]":
         results: "dict[str, bool]" = {}
         for address, health in self._backends.items():
             client = self._clients.get(address)

@@ -37,6 +37,7 @@ Conservation identities (all property-tested):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..util.validation import check_in_range, check_non_negative
@@ -197,7 +198,9 @@ class Battery:
         if surplus > 0 and level < self.spec.c_max:
             # cell absorbs at η_c·surplus until full
             rate = eta_c * surplus
-            t_hit = (self.spec.c_max - level) / rate
+            # η_c·surplus can underflow to 0 (a subnormal surplus): the
+            # cell then stores nothing and never fills within the step
+            t_hit = (self.spec.c_max - level) / rate if rate > 0 else math.inf
             t_rise = min(t_hit, dt)
             charged += surplus * t_rise
             loss += (1.0 - eta_c) * surplus * t_rise
@@ -209,6 +212,7 @@ class Battery:
             wasted += surplus * dt
         elif deficit > 0 and level > self.spec.c_min:
             # cell releases deficit/η_d per delivered watt until the floor
+            # (η_d ≤ 1, so this rate is at least ``deficit`` and never 0)
             rate = deficit / eta_d
             t_hit = (level - self.spec.c_min) / rate
             t_fall = min(t_hit, dt)

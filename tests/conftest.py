@@ -1,16 +1,20 @@
 """Shared fixtures: the PAMA platform and paper scenarios.
 
 Also the suite-wide determinism guard rails: every test starts from a
-freshly seeded global RNG (stdlib and numpy), and ``--update-golden``
-rewrites the pinned outputs under ``tests/golden/`` (docs/VERIFY.md).
+freshly seeded global RNG (stdlib and numpy), Hypothesis runs the
+derandomized ``ci`` profile unless ``HYPOTHESIS_PROFILE`` names another,
+and ``--update-golden`` rewrites the pinned outputs under
+``tests/golden/`` (docs/VERIFY.md).
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.models.battery import BatterySpec
 from repro.models.performance import PerformanceModel
@@ -27,6 +31,24 @@ from repro.scenarios.paper import (
 )
 from repro.util.schedule import Schedule
 from repro.util.timegrid import TimeGrid
+
+
+# ``ci`` (the default): the same examples on every run and machine, with no
+# example database and no wall-clock deadline, so a run replays exactly.
+# ``deep``: many more fresh examples, for hunting new failures; every test
+# it runs is marked ``slow``.  A failure either finds becomes an @example.
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
+settings.register_profile("deep", max_examples=2000, deadline=None)
+HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "ci")
+settings.load_profile(HYPOTHESIS_PROFILE)
+
+
+def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
+    if HYPOTHESIS_PROFILE != "deep":
+        return
+    for item in items:
+        if getattr(getattr(item, "obj", None), "is_hypothesis_test", False):
+            item.add_marker(pytest.mark.slow)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

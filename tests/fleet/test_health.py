@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.fleet.health import CircuitBreaker, HealthMonitor
@@ -154,3 +158,50 @@ class TestHealthMonitor:
     def test_needs_backends(self):
         with pytest.raises(ValueError):
             HealthMonitor([])
+
+
+class CountingStatusClient:
+    """Numbers its answers and records how many callers it served at once."""
+
+    def __init__(self, address: str, *, timeout=None):
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.busy = 0
+        self.max_busy = 0
+
+    def status(self) -> dict:
+        with self.lock:
+            self.busy += 1
+            self.max_busy = max(self.max_busy, self.busy)
+        time.sleep(0.0005)  # a round trip: let another thread in
+        with self.lock:
+            self.busy -= 1
+            self.calls += 1
+            return {"seq": self.calls}
+
+    def close(self) -> None:
+        pass
+
+
+def test_concurrent_probes_share_a_client_one_at_a_time():
+    """The probe loop and probe_once() callers share each backend's client;
+    probes are serialized, so the cached status is the last answer."""
+    monitor = HealthMonitor(["unix:/a"], client_factory=CountingStatusClient)
+    monitor.probe_once()
+    client = monitor._clients["unix:/a"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=lambda: [monitor.probe_once() for _ in range(10)])
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert client.max_busy == 1
+    assert monitor.last_status("unix:/a") == {"seq": client.calls} == {"seq": 81}

@@ -3,12 +3,16 @@ budget, and drain cleanly even when some backends already died."""
 
 from __future__ import annotations
 
+import os
+import re
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro.fleet.launcher import Backend, FleetLauncher
+from repro.fleet.launcher import Backend, FleetLauncher, _repro_env
 from repro.service.client import PlanClient
 
 pytestmark = pytest.mark.fleet
@@ -101,3 +105,49 @@ class TestDrain:
         first = launcher.terminate()
         second = launcher.terminate()
         assert first == second
+
+
+def _pid_alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(") ", 1)[1][0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestFleetCommandDrain:
+    def test_sigterm_leaves_no_backend_alive(self, tmp_path):
+        """``repro fleet`` returns only after its drain has stopped every
+        spawned backend, not as soon as the gateway stops serving."""
+        fleet = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "fleet",
+                "--socket", f"unix:{tmp_path}/gw.sock",
+                "--backends", "2", "--socket-dir", str(tmp_path),
+                "--log-level", "error",
+            ],
+            stdout=subprocess.PIPE, text=True, env=_repro_env(),
+        )
+        pids: "list[int]" = []
+        try:
+            for line in fleet.stdout:
+                pids += [int(pid) for pid in re.findall(r"pid=(\d+)", line)]
+                if line.startswith("fleet gateway serving"):
+                    break
+            assert len(pids) == 2
+            fleet.send_signal(signal.SIGTERM)
+            assert fleet.wait(timeout=60) == 0
+            assert [pid for pid in pids if _pid_alive(pid)] == []
+        finally:
+            if fleet.poll() is None:
+                fleet.kill()
+                fleet.wait()
+            fleet.stdout.close()
+            for pid in pids:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.models.battery import Battery, BatterySpec
@@ -101,6 +101,8 @@ class TestProperties:
         )
 
     @given(efficiencies, efficiencies, st.lists(flow, min_size=1, max_size=25))
+    # η_c·surplus underflows to 0 W: the cell must not move (no 1/0 for t_hit)
+    @example(0.5, 1.0, [(5e-324, 0.0, 1.0)])
     def test_level_stays_in_window(self, eta_c, eta_d, flows):
         spec = BatterySpec(
             c_max=15.0, c_min=1.0, initial=8.0,

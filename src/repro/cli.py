@@ -528,6 +528,36 @@ def _fleet_main(argv: list[str]) -> int:
         restart_backoff_s=args.restart_backoff,
         restart_budget=args.restart_budget,
     )
+    import signal as _signal
+
+    drain_lock = threading.Lock()
+    drained = False
+    stop_requested = threading.Event()
+    gateway: "PlanGateway | None" = None
+    serving = False
+
+    def _drain() -> None:
+        # The signal handler drains on a thread, and serve_forever()
+        # returns as soon as the gateway stops — before the backends are
+        # gone.  The main thread drains too, so it waits here for them.
+        nonlocal drained
+        with drain_lock:
+            if not drained:
+                if gateway is not None:
+                    gateway.stop()
+                launcher.terminate()
+                drained = True
+
+    def _handler(signum: int, frame) -> None:
+        # Installed before the first spawn, so a signal during start-up
+        # cannot kill this process and orphan its backends.  Until the
+        # gateway serves, the main thread drains at its next checkpoint.
+        stop_requested.set()
+        if serving:
+            threading.Thread(target=_drain, name="fleet-drain", daemon=True).start()
+
+    _signal.signal(_signal.SIGTERM, _handler)
+    _signal.signal(_signal.SIGINT, _handler)
     try:
         try:
             launcher.spawn()
@@ -535,6 +565,9 @@ def _fleet_main(argv: list[str]) -> int:
             print(f"error: spawning backends failed: {exc}", file=sys.stderr)
             launcher.terminate()
             return 1
+        if stop_requested.is_set():
+            _drain()
+            return 0
         gateway = PlanGateway(
             GatewayConfig(
                 address=args.socket,
@@ -560,28 +593,12 @@ def _fleet_main(argv: list[str]) -> int:
             launcher.start_supervision(
                 lambda backend: gateway.notify_backend_restarted(backend.address)
             )
-
-        drain_lock = threading.Lock()
-        drained = False
-
-        def _drain() -> None:
-            # The signal handler drains on a thread, and serve_forever()
-            # returns as soon as the gateway stops — before the backends are
-            # gone.  The main thread drains too, so it waits here for them.
-            nonlocal drained
-            with drain_lock:
-                if not drained:
-                    gateway.stop()
-                    launcher.terminate()
-                    drained = True
-
-        def _handler(signum: int, frame) -> None:
-            threading.Thread(target=_drain, name="fleet-drain", daemon=True).start()
-
-        import signal as _signal
-
-        _signal.signal(_signal.SIGTERM, _handler)
-        _signal.signal(_signal.SIGINT, _handler)
+        # After supervision starts: a drain that ran first would have its
+        # terminated backends restarted.
+        serving = True
+        if stop_requested.is_set():
+            _drain()
+            return 0
         _install_thread_dump_handler()
         for backend in launcher.backends:
             role = "spawned" if backend.spawned else "attached"

@@ -38,6 +38,9 @@ __all__ = [
     "optimal_parameters",
 ]
 
+#: Rounding slack on ``power ≤ budget`` for a returned design point.
+_BUDGET_RTOL = 1e-9
+
 
 def _perf_fractional(
     perf_model: PerformanceModel, n: float, f: float, v: float
@@ -128,6 +131,11 @@ def optimal_parameters(
     is accounted for.  With a fixed-voltage map (``v_min = v_max``),
     regime 3 collapses and the solution goes straight from 2 to 4 — the
     PAMA configuration.
+
+    Every returned point is finite and within the budget (up to rounding).
+    A model for which no such optimum exists — one whose processors cost
+    so little power that the budget buys more than a float can count —
+    raises :class:`ValueError` naming the power model.
     """
     check_non_negative("power_budget", power_budget)
     vf = perf_model.vf_map
@@ -146,26 +154,51 @@ def optimal_parameters(
     n_star = perf_model.optimal_processor_count
     n_star_eff = min(n_star, n_max)
 
+    def point(n: float, f: float, v: float, power: float, regime: int):
+        perf = _perf_fractional(perf_model, n, f, v)
+        finite = all(map(math.isfinite, (n, f, v, power, perf)))
+        if not finite or power > power_budget * (1.0 + _BUDGET_RTOL):
+            raise ValueError(
+                f"Eq. 18 has no finite optimum within {power_budget!r} W for "
+                f"{power_model!r} (regime {regime}: n={n!r}, power={power!r})"
+            )
+        return ContinuousDesignPoint(n, f, v, power, perf, regime=regime)
+
+    def count(budget: float, per_processor: float) -> float:
+        # A processor that draws nothing (c2·f·v² underflowed) is unbounded.
+        return budget / per_processor if per_processor > 0 else math.inf
+
     if power_budget < p1:
         # regime 1: single processor, frequency below the floor
-        f = max(0.0, (power_budget - floor)) / (c2 * v_lo**2)
-        f = max(f, 0.0)
+        spare = power_budget - floor
+        f = 0.0
+        if spare > 0:
+            dynamic = c2 * v_lo**2  # W per Hz at the voltage floor
+            f = spare / dynamic if dynamic > 0 else f_floor
+            if proc_power(f, v_lo) > power_budget * (1.0 + _BUDGET_RTOL):
+                # c2·v_min² underflowed or lost its precision (subnormal):
+                # bisect for the fastest clock the budget still pays for.
+                lo, hi = 0.0, f
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if proc_power(mid, v_lo) <= power_budget:
+                        lo = mid
+                    else:
+                        hi = mid
+                f = lo
         if f < f_min:
             f = 0.0 if power_budget < proc_power(f_min, v_lo) else f_min
         n = 1.0 if f > 0 else 0.0
         power = proc_power(f, v_lo) if n else 0.0
-        perf = _perf_fractional(perf_model, n, f, v_lo)
-        return ContinuousDesignPoint(n, f, v_lo, power, perf, regime=1)
+        return point(n, f, v_lo, power, regime=1)
 
     if power_budget < n_star_eff * p1 or v_hi == v_lo or f_ceil <= f_floor:
         # regime 2: processors at the floor frequency
-        n = min(power_budget / p1, n_max)
+        n = min(count(power_budget, p1), n_max)
         # fixed-voltage systems skip regime 3 entirely; budget beyond
         # n_max·p1 falls through to regime 4 below when f can still rise.
         if n < n_max or f_ceil <= f_floor:
-            power = n * p1
-            perf = _perf_fractional(perf_model, n, f_floor, v_lo)
-            return ContinuousDesignPoint(n, f_floor, v_lo, power, perf, regime=2)
+            return point(n, f_floor, v_lo, n * p1, regime=2)
 
     if power_budget < n_star_eff * p_top and v_hi > v_lo:
         # regime 3: fixed n*, scale voltage (and frequency with it)
@@ -180,12 +213,8 @@ def optimal_parameters(
                 hi = mid
         v = 0.5 * (lo + hi)
         f = vf.g(v)
-        power = n * proc_power(f, v)
-        perf = _perf_fractional(perf_model, n, f, v)
-        return ContinuousDesignPoint(n, f, v, power, perf, regime=3)
+        return point(n, f, v, n * proc_power(f, v), regime=3)
 
     # regime 4: top frequency/voltage, spend the rest on processors
-    n = min(power_budget / p_top, n_max)
-    power = n * p_top
-    perf = _perf_fractional(perf_model, n, f_ceil, v_hi)
-    return ContinuousDesignPoint(n, f_ceil, v_hi, power, perf, regime=4)
+    n = min(count(power_budget, p_top), n_max)
+    return point(n, f_ceil, v_hi, n * p_top, regime=4)

@@ -32,30 +32,18 @@ all; everything else is the replica's own answer, passed through.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import logging
 import os
 import queue
 import random
-import signal
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
 
 from ..service.client import ClientError, PlanServiceError
-from ..service.metrics import ServiceMetrics
-from ..service.protocol import (
-    MAX_LINE_BYTES,
-    PlanRequest,
-    ProtocolError,
-    decode_message,
-    encode_message,
-    error_response,
-    ok_response,
-    parse_address,
-)
+from ..service.endpoint import NDJSONEndpoint
+from ..service.protocol import PlanRequest, ProtocolError
 from ..util.jsonio import dumps_json
 from .health import HealthMonitor
 from .pool import PoolGroup
@@ -95,14 +83,17 @@ class GatewayConfig:
     rng_seed: "int | None" = None  #: seed the retry jitter (tests)
 
 
-class PlanGateway:
+class PlanGateway(NDJSONEndpoint):
     """See the module docstring for the serving model."""
+
+    _role = "gateway"
+    _thread_prefix = "fleet-gateway"
+    _stopped_event = "gateway_stopped"
 
     def __init__(self, config: GatewayConfig):
         if not config.backends:
             raise ValueError("gateway needs at least one backend address")
-        self.config = config
-        self.metrics = ServiceMetrics()
+        super().__init__(config)
         self._router = RendezvousRouter(config.backends)
         self._monitor = HealthMonitor(
             config.backends,
@@ -128,43 +119,14 @@ class PlanGateway:
         )
         self._rng = random.Random(config.rng_seed)
 
-        self._listener: "socket.socket | None" = None
-        self._endpoint: "str | None" = None
-        self._unix_path: "str | None" = None
-        self._threads: "list[threading.Thread]" = []
-        self._conns: "dict[int, socket.socket]" = {}
-        self._conn_lock = threading.Lock()
-        self._active = 0
-        self._active_lock = threading.Lock()
-
-        self._started = False
-        self._stop_lock = threading.Lock()
-        self._stopping = False
-        self._draining = threading.Event()
-        self._stop_event = threading.Event()
-        self._stopped = threading.Event()
-
     # ------------------------------------------------------------------
-    # lifecycle (PlanServer-compatible surface)
+    # lifecycle (the bind/accept/drain frame is NDJSONEndpoint's)
     # ------------------------------------------------------------------
-    @property
-    def endpoint(self) -> str:
-        """The bound address (with the real port for ``tcp:...:0`` binds)."""
-        if self._endpoint is None:
-            raise RuntimeError("gateway is not started")
-        return self._endpoint
-
     def start(self) -> None:
-        if self._started:
-            raise RuntimeError("gateway already started")
-        self._started = True
+        self._claim_start()
         self._listener = self._bind(self.config.address)
         self._monitor.start()
-        acceptor = threading.Thread(
-            target=self._accept_loop, name="fleet-gateway-accept", daemon=True
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
+        self._spawn("accept", self._accept_loop)
         logger.info(
             "fleet gateway listening on %s fronting %d backends "
             "(max_attempts %d, hedge %s)",
@@ -174,185 +136,14 @@ class PlanGateway:
             "on" if self.config.hedge else "off",
         )
 
-    def _bind(self, address: str) -> socket.socket:
-        parsed = parse_address(address)
-        if parsed[0] == "unix":
-            path = parsed[1]
-            if os.path.exists(path):
-                probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                try:
-                    probe.connect(path)
-                except OSError:
-                    os.unlink(path)  # stale socket from a dead gateway
-                else:
-                    # Same error type a TCP bind collision raises.
-                    raise OSError(
-                        errno.EADDRINUSE,
-                        f"address {path!r} already has a live server",
-                    )
-                finally:
-                    probe.close()
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.bind(path)
-            self._unix_path = path
-            self._endpoint = f"unix:{path}"
-        else:
-            _, host, port = parsed
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, port))
-            self._endpoint = f"tcp:{host}:{sock.getsockname()[1]}"
-        sock.listen(self.config.accept_backlog)
-        return sock
+    def _quiescent(self) -> bool:
+        return self._active_requests == 0
 
-    def serve_forever(self) -> None:
-        if not self._started:
-            self.start()
-        while not self._stopped.wait(0.2):
-            pass
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → graceful drain (call from the main thread)."""
-
-        def _handler(signum: int, frame) -> None:
-            logger.info("received signal %d: draining gateway", signum)
-            threading.Thread(
-                target=self.stop, name="fleet-gateway-drain", daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handler)
-        signal.signal(signal.SIGINT, _handler)
-
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop serving; with ``drain``, let in-flight forwards finish."""
-        with self._stop_lock:
-            if self._stopping:
-                self._stopped.wait(self.config.drain_timeout_s + 5.0)
-                return
-            self._stopping = True
-        self._draining.set()
-        self._stop_event.set()
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout_s
-            while time.monotonic() < deadline:
-                with self._active_lock:
-                    if self._active == 0:
-                        break
-                time.sleep(0.005)
+    def _release(self) -> None:
         self._monitor.stop()
-        with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=2.0)
-        with self._conn_lock:
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            self._conns.clear()
+
+    def _after_close(self) -> None:
         self._pools.close()
-        if self._unix_path and os.path.exists(self._unix_path):
-            try:
-                os.unlink(self._unix_path)
-            except OSError:
-                pass
-        logger.info("%s", self.metrics.log_line(event="gateway_stopped"))
-        self._stopped.set()
-
-    # ------------------------------------------------------------------
-    # connection plumbing
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        assert listener is not None
-        while not self._stop_event.is_set():
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                break
-            self.metrics.inc("connections_opened")
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="fleet-gateway-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._conns[id(conn)] = conn
-            self._threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        fh = conn.makefile("rb")
-        try:
-            while True:
-                line = fh.readline(MAX_LINE_BYTES + 1)
-                if not line:
-                    break
-                response = self._handle_line(line)
-                try:
-                    conn.sendall(encode_message(response))
-                except OSError:
-                    break
-        finally:
-            try:
-                fh.close()
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._conn_lock:
-                self._conns.pop(id(conn), None)
-            self.metrics.inc("connections_closed")
-
-    def _handle_line(self, line: bytes) -> dict:
-        try:
-            message = decode_message(line)
-        except ProtocolError as exc:
-            self.metrics.inc("requests_total")
-            self.metrics.inc(f"errors_{exc.code}")
-            return error_response(None, exc.code, exc.message)
-        request_id = message.get("id")
-        op = message.get("op")
-        self.metrics.inc("requests_total")
-        self.metrics.inc(f"requests_{op}" if isinstance(op, str) else "requests_invalid")
-        with self._active_lock:
-            self._active += 1
-        t0 = time.perf_counter()
-        try:
-            result = self._dispatch(op, message)
-            response = ok_response(request_id, result)
-        except ProtocolError as exc:
-            self.metrics.inc(f"errors_{exc.code}")
-            response = error_response(request_id, exc.code, exc.message)
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("internal error routing %r", op)
-            self.metrics.inc("errors_internal")
-            response = error_response(request_id, "internal", f"{type(exc).__name__}: {exc}")
-        finally:
-            if isinstance(op, str):
-                self.metrics.observe(f"latency_{op}_s", time.perf_counter() - t0)
-            with self._active_lock:
-                self._active -= 1
-        return response
 
     # ------------------------------------------------------------------
     # dispatch
@@ -378,9 +169,7 @@ class PlanGateway:
         if op == "sweep":
             return self._forward(message, self._sweep_key(message), op="sweep")
         if op == "shutdown":
-            threading.Thread(
-                target=self.stop, name="fleet-gateway-shutdown", daemon=True
-            ).start()
+            self._stop_in_background("shutdown")
             return {"stopping": True, "role": "gateway"}
         raise ProtocolError(
             "bad_request",
@@ -587,8 +376,8 @@ class PlanGateway:
                 fleet["active_requests"] += load.get("active_requests", 0)
             if row.get("healthy"):
                 fleet["reachable"] += 1
-        with self._active_lock:
-            active = self._active
+        with self._dispatch_lock:
+            active = self._active_requests
         return {
             "gateway": {
                 "address": self._endpoint,

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.continuous import (
     optimal_parameters,
@@ -114,3 +118,42 @@ class TestFixedVoltage:
             assert point.regime == 2
             assert point.n == pytest.approx(float(k))
             assert point.f == pytest.approx(80e6)
+
+
+# Subnormal switching constants included: c2·f·v² may underflow to 0 and
+# budget/P₁ may overflow.
+_positive = st.floats(min_value=5e-324, max_value=1e300)
+_vf_maps = st.one_of(
+    st.builds(FixedVoltageVFMap, st.floats(1e-3, 10.0), st.floats(1e-3, 1e12)),
+    st.builds(
+        lambda v_min, ratio, slope: LinearVFMap(v_min, v_min * ratio, slope),
+        st.floats(1e-6, 10.0),
+        st.floats(1.0, 100.0),
+        st.floats(1e-3, 1e12),
+    ),
+)
+_power_models = st.builds(
+    PowerModel, c2=_positive, active_floor=st.one_of(st.just(0.0), _positive)
+)
+
+
+class TestNumericEdges:
+    @example(LinearVFMap(1e-3, 1.0, 1e6), PowerModel(c2=5e-324, active_floor=0.5), 0.2, 0.1)
+    @example(FixedVoltageVFMap(1.0, 1e6), PowerModel(c2=5e-324), 0.2, 1.0)
+    @given(_vf_maps, _power_models, st.floats(0.01, 1.0), st.floats(0.0, 1e300))
+    def test_point_is_finite_within_budget_or_model_rejected(
+        self, vf, power_model, t_serial, budget
+    ):
+        perf = PerformanceModel(t_total=1.0, t_serial=t_serial, f_ref=1e6, vf_map=vf)
+        try:
+            point = optimal_parameters(budget, perf, power_model)
+        except ValueError as exc:
+            assert repr(power_model) in str(exc)
+            # Rejected only when the budget buys more processors at the
+            # voltage floor than a float can count.
+            p1 = power_model.active_power(vf.f_floor, vf.v_min)
+            assert p1 == 0 or budget / p1 == math.inf
+            return
+        values = (point.n, point.f, point.v, point.power, point.perf)
+        assert all(math.isfinite(x) for x in values)
+        assert point.power <= budget * (1 + 1e-9)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.fleet.launcher import Backend, FleetLauncher, _repro_env
-from repro.service.client import PlanClient
+from repro.service.client import ClientError, PlanClient
 
 pytestmark = pytest.mark.fleet
 
@@ -151,3 +151,48 @@ class TestFleetCommandDrain:
             for pid in pids:
                 if _pid_alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+    def test_sigterm_during_startup_drains_every_backend(self, tmp_path):
+        """A SIGTERM that lands while backends are still starting ends in
+        the normal drain: exit 0 and no backend left answering."""
+        fleet = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "fleet",
+                "--socket", f"unix:{tmp_path}/gw.sock",
+                "--backends", "2", "--socket-dir", str(tmp_path),
+                "--log-level", "error",
+            ],
+            stdout=subprocess.DEVNULL, env=_repro_env(),
+        )
+        backends = [f"unix:{tmp_path}/backend-{i}.sock" for i in range(2)]
+        try:
+            _wait_until(
+                lambda: os.path.exists(f"{tmp_path}/backend-0.sock"),
+                message="the first backend socket",
+            )
+            fleet.send_signal(signal.SIGTERM)
+            assert fleet.wait(timeout=60) == 0
+            assert [a for a in backends if _answers_ping(a)] == []
+        finally:
+            if fleet.poll() is None:
+                fleet.kill()
+                fleet.wait()
+            for address in backends:
+                # A fleet that died mid start-up may leave a backend that
+                # is still coming up; wait for it so it can be shut down.
+                try:
+                    client = PlanClient.wait_for_server(
+                        address, timeout=0.5 if fleet.returncode == 0 else 30.0
+                    )
+                except (ClientError, OSError, TimeoutError):
+                    continue
+                with client:
+                    client.shutdown()
+
+
+def _answers_ping(address: str) -> bool:
+    try:
+        with PlanClient(address, timeout=2.0) as client:
+            return client.ping()["pong"] is True
+    except (ClientError, OSError):
+        return False

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models.battery import Battery, BatterySpec
+from ..models.battery import BatterySpec
+from .energy import closed_loop
 
 __all__ = [
     "EnergyBooks",
@@ -51,16 +52,12 @@ def energy_books(
     """Run the exact battery bookkeeping over per-slot powers."""
     supply_power = np.asarray(supply_power, dtype=float)
     demand_power = np.asarray(demand_power, dtype=float)
-    if supply_power.shape != demand_power.shape:
-        raise ValueError("supply and demand arrays must have equal length")
-    battery = Battery(spec)
-    for c, u in zip(supply_power, demand_power):
-        battery.step(c, u, tau)
+    books = closed_loop(supply_power, demand_power, spec, tau)
     return EnergyBooks(
         supplied=float(supply_power.sum() * tau),
-        delivered=battery.total_drawn,
-        wasted=battery.total_wasted,
-        undersupplied=battery.total_undersupplied,
+        delivered=books.drawn,
+        wasted=books.wasted,
+        undersupplied=books.undersupplied,
     )
 
 

@@ -307,18 +307,23 @@ class DynamicPowerManager:
         *,
         used_power: float | None = None,
         supplied_power: float | None = None,
+        decision: OperatingPoint | None = None,
     ) -> tuple[OperatingPoint, float, float, float, float]:
         """:meth:`advance` without building or recording a
         :class:`ManagerStep`, for closed loops that keep their own books.
 
-        Returns the operating point used and the drawn power, supplied
-        power, expected supply (W) and ``E_diff`` (J) of the interval.
+        ``decision`` is this slot's :meth:`decide` result when the caller
+        already has it (a closed loop that drew its power); by default
+        the gate runs here.  Returns the operating point used and the
+        drawn power, supplied power, expected supply (W) and ``E_diff``
+        (J) of the interval.
         """
         window = self._require_started()
         tau = self.grid.tau
         slot_in_period = self.grid.slot_index(self._slot)
 
-        decision = self.decide()
+        if decision is None:
+            decision = self.decide()
         switched = decision != self._point
         overhead = self.overheads.cost(self._point, decision) if switched else 0.0
         self._point = decision

@@ -18,6 +18,12 @@ survivors carry the traffic.  Every successful restart fires the
 ``on_restart`` callback (the gateway uses it to reset the replica's
 circuit breaker and health history so traffic returns immediately
 instead of waiting out the open-circuit window).
+
+Each spawned backend leads its own session and process group, which its
+``--workers N`` pool processes join.  A backend that dies without
+draining (SIGKILL) cannot stop its workers, so the launcher SIGKILLs the
+whole group once it has reaped the backend, both in supervision (before
+any restart) and at drain.
 """
 
 from __future__ import annotations
@@ -72,6 +78,20 @@ def _repro_env() -> "dict[str, str]":
             package_root + (os.pathsep + existing if existing else "")
         )
     return env
+
+
+def _start(argv: "list[str]") -> subprocess.Popen:
+    """Start one backend as the leader of a new session and process group."""
+    return subprocess.Popen(argv, env=_repro_env(), start_new_session=True)
+
+
+def _kill_group(backend: Backend) -> None:
+    """SIGKILL what is left of a reaped backend's process group (its pool
+    workers); an empty group is the normal case."""
+    try:
+        os.killpg(backend.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 class FleetLauncher:
@@ -161,7 +181,7 @@ class FleetLauncher:
         for index in range(self._spawn_pending):
             address = f"unix:{self.socket_dir}/backend-{index}.sock"
             argv = self._serve_argv(index, address)
-            process = subprocess.Popen(argv, env=_repro_env())
+            process = _start(argv)
             backend = Backend(
                 address=address, process=process, spawned=True, argv=argv
             )
@@ -240,6 +260,7 @@ class FleetLauncher:
             return  # alive
         now = time.monotonic()
         if backend.next_restart_at is None:
+            _kill_group(backend)  # first sight of the corpse: stop its workers
             backend.last_exit_code = code
             if backend.restarts >= self.restart_budget:
                 backend.given_up = True
@@ -281,7 +302,7 @@ class FleetLauncher:
             except OSError:
                 pass
         try:
-            backend.process = subprocess.Popen(backend.argv, env=_repro_env())
+            backend.process = _start(backend.argv)
             client = PlanClient.wait_for_server(
                 backend.address, timeout=self.startup_timeout_s
             )
@@ -314,7 +335,8 @@ class FleetLauncher:
 
         Supervision is stopped first so the drain never races a restart.
         Backends that already exited are only reaped (no signal to a dead
-        pid), and every backend's exit code is logged.  Returns address →
+        pid), each reaped backend's process group is SIGKILLed, and every
+        backend's exit code is logged.  Returns address →
         exit code (negative = died by signal, ``None`` for attached
         backends the launcher does not own).
         """
@@ -343,6 +365,7 @@ class FleetLauncher:
                     code = process.wait(timeout=5.0)
             else:
                 process.wait()  # already exited: reap, don't signal
+            _kill_group(backend)
             backend.last_exit_code = code
             codes[backend.address] = code
             logger.info(

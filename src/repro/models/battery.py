@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from ..util.validation import check_in_range, check_non_negative
 
-__all__ = ["BatterySpec", "BatteryStep", "Battery"]
+__all__ = ["BatterySpec", "BatteryStep", "Battery", "split"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,69 @@ class BatteryStep:
     undersupplied: float  #: demanded energy that could not be delivered
     level: float  #: stored energy after the step
     conversion_loss: float = 0.0  #: energy lost to charge/discharge inefficiency
+
+
+def split(
+    level: float,
+    charge_w: float,
+    draw_w: float,
+    dt: float,
+    c_min: float,
+    c_max: float,
+    eta_c: float,
+    eta_d: float,
+) -> tuple[float, float, float, float, float, float]:
+    """One step of the battery's flow split, unchecked (see module docstring).
+
+    The arithmetic of :meth:`Battery.step` on plain floats, for loops that
+    validate their inputs once per run: the caller guarantees finite
+    non-negative ``charge_w``, ``draw_w`` and ``dt`` and a
+    :class:`BatterySpec`'s window and efficiencies.  Returns ``(charged,
+    drawn, wasted, undersupplied, level, conversion_loss)`` in joules, the
+    fields of :class:`BatteryStep` in order.
+    """
+    if dt == 0:  # nothing flows; the level is returned as given
+        return 0.0, 0.0, 0.0, 0.0, level, 0.0
+    direct = min(charge_w, draw_w)  # bus pass-through (W)
+    surplus = charge_w - direct  # candidate cell inflow (W, bus side)
+    deficit = draw_w - direct  # must come from the cell (W, load side)
+
+    charged = direct * dt
+    drawn = direct * dt
+    wasted = undersupplied = loss = 0.0
+
+    if surplus > 0 and level < c_max:
+        # cell absorbs at η_c·surplus until full
+        rate = eta_c * surplus
+        # η_c·surplus can underflow to 0 (a subnormal surplus): the
+        # cell then stores nothing and never fills within the step
+        t_hit = (c_max - level) / rate if rate > 0 else math.inf
+        t_rise = min(t_hit, dt)
+        charged += surplus * t_rise
+        loss += (1.0 - eta_c) * surplus * t_rise
+        level += rate * t_rise
+        rest = dt - t_rise
+        if rest > 0:
+            wasted += surplus * rest
+    elif surplus > 0:  # already full
+        wasted += surplus * dt
+    elif deficit > 0 and level > c_min:
+        # cell releases deficit/η_d per delivered watt until the floor
+        # (η_d ≤ 1, so this rate is at least ``deficit`` and never 0)
+        rate = deficit / eta_d
+        t_hit = (level - c_min) / rate
+        t_fall = min(t_hit, dt)
+        drawn += deficit * t_fall
+        loss += (rate - deficit) * t_fall
+        level -= rate * t_fall
+        rest = dt - t_fall
+        if rest > 0:
+            undersupplied += deficit * rest
+    elif deficit > 0:  # already at floor
+        undersupplied += deficit * dt
+
+    level = min(max(level, c_min), c_max)  # BatterySpec.clamp
+    return charged, drawn, wasted, undersupplied, level, loss
 
 
 class Battery:
@@ -176,56 +239,23 @@ class Battery:
         """Advance ``dt`` seconds with constant flows (W).
 
         Returns a :class:`BatteryStep` with the exact energy bookkeeping,
-        splitting the interval at the instant the level reaches a bound.
+        splitting the interval at the instant the level reaches a bound
+        (the arithmetic is :func:`split`'s; this method checks the flows).
         """
         check_non_negative("charge_power", charge_power)
         check_non_negative("draw_power", draw_power)
         check_non_negative("dt", dt)
-        if dt == 0:
-            return BatteryStep(0.0, 0.0, 0.0, 0.0, self._level)
-
-        eta_c = self.spec.charge_efficiency
-        eta_d = self.spec.discharge_efficiency
-        direct = min(charge_power, draw_power)  # bus pass-through (W)
-        surplus = charge_power - direct  # candidate cell inflow (W, bus side)
-        deficit = draw_power - direct  # must come from the cell (W, load side)
-
-        charged = direct * dt
-        drawn = direct * dt
-        wasted = undersupplied = loss = 0.0
-        level = self._level
-
-        if surplus > 0 and level < self.spec.c_max:
-            # cell absorbs at η_c·surplus until full
-            rate = eta_c * surplus
-            # η_c·surplus can underflow to 0 (a subnormal surplus): the
-            # cell then stores nothing and never fills within the step
-            t_hit = (self.spec.c_max - level) / rate if rate > 0 else math.inf
-            t_rise = min(t_hit, dt)
-            charged += surplus * t_rise
-            loss += (1.0 - eta_c) * surplus * t_rise
-            level += rate * t_rise
-            rest = dt - t_rise
-            if rest > 0:
-                wasted += surplus * rest
-        elif surplus > 0:  # already full
-            wasted += surplus * dt
-        elif deficit > 0 and level > self.spec.c_min:
-            # cell releases deficit/η_d per delivered watt until the floor
-            # (η_d ≤ 1, so this rate is at least ``deficit`` and never 0)
-            rate = deficit / eta_d
-            t_hit = (level - self.spec.c_min) / rate
-            t_fall = min(t_hit, dt)
-            drawn += deficit * t_fall
-            loss += (rate - deficit) * t_fall
-            level -= rate * t_fall
-            rest = dt - t_fall
-            if rest > 0:
-                undersupplied += deficit * rest
-        elif deficit > 0:  # already at floor
-            undersupplied += deficit * dt
-
-        level = self.spec.clamp(level)
+        spec = self.spec
+        charged, drawn, wasted, undersupplied, level, loss = split(
+            self._level,
+            charge_power,
+            draw_power,
+            dt,
+            spec.c_min,
+            spec.c_max,
+            spec.charge_efficiency,
+            spec.discharge_efficiency,
+        )
         self._level = level
         self._charged += charged
         self._drawn += drawn

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -59,6 +60,7 @@ __all__ = [
     "error_response",
     "scenario_names",
     "resolve_scenario",
+    "check_supply_factor",
     "PlanRequest",
     "PLAN_PAYLOAD_DETERMINISTIC_FIELDS",
     "plan_payload_digest",
@@ -146,6 +148,8 @@ def error_response(request_id: object, code: str, message: str) -> dict:
 # the scenario registry (names a request may reference)
 # ----------------------------------------------------------------------
 _registry_cache: "dict[str, Callable[[], PaperScenario]] | None" = None
+#: name → largest absolute charging power, for :func:`check_supply_factor`
+_peak_supply_w: "dict[str, float]" = {}
 
 
 def _scenario_registry() -> "dict[str, Callable[[], PaperScenario]]":
@@ -155,6 +159,7 @@ def _scenario_registry() -> "dict[str, Callable[[], PaperScenario]]":
 
         def _add(scenario: PaperScenario) -> None:
             registry[scenario.name] = lambda sc=scenario: sc
+            _peak_supply_w[scenario.name] = float(abs(scenario.charging.values).max())
 
         for scenario in paper_scenarios():
             _add(scenario)
@@ -177,6 +182,19 @@ def resolve_scenario(name: str) -> PaperScenario:
             f"unknown scenario {name!r}; known: {', '.join(scenario_names())}",
         )
     return factory()
+
+
+def check_supply_factor(name: str, factor: float) -> None:
+    """Reject a ``supply_factor`` that scales the supply of the registered
+    scenario ``name`` past the float range (the run would meet an infinite
+    charging power)."""
+    resolve_scenario(name)  # unknown names fail as such
+    if not math.isfinite(_peak_supply_w[name] * factor):
+        raise ProtocolError(
+            "bad_request",
+            f"supply_factor {factor!r} scales the supply of {name!r} "
+            "past the float range",
+        )
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +243,8 @@ class PlanRequest:
                 "unknown_policy",
                 f"unknown policy {policy!r}; known: {', '.join(policy_names())}",
             )
-        resolve_scenario(scenario)  # fail fast on unknown names
+        # fail fast on unknown names and on supply no run can take
+        check_supply_factor(scenario, supply_factor)
         return cls(scenario, policy, n_periods, supply_factor, deadline_s)
 
     def canonical(self) -> dict:

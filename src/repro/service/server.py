@@ -71,7 +71,13 @@ from ..core.pareto import OperatingFrontier
 from ..scenarios.paper import pama_frontier
 from .cache import LRUCache, load_cache_snapshot, save_cache_snapshot
 from .endpoint import NDJSONEndpoint
-from .protocol import PlanRequest, ProtocolError, resolve_scenario, scenario_names
+from .protocol import (
+    PlanRequest,
+    ProtocolError,
+    check_supply_factor,
+    resolve_scenario,
+    scenario_names,
+)
 
 __all__ = ["ServerConfig", "PlanServer"]
 
@@ -487,6 +493,10 @@ class PlanServer(NDJSONEndpoint):
         for policy in policies:
             if policy not in policy_names():
                 raise ProtocolError("unknown_policy", f"unknown policy {policy!r}")
+        for name in names:
+            for factor in factors:
+                if factor is not None:
+                    check_supply_factor(name, float(factor))
         # Same grid nesting as the one-shot CLI sweep: scenario × factor × policy.
         cells = [
             CellSpec(

@@ -36,7 +36,61 @@ def _wait_until(predicate, *, timeout_s=60.0, message="condition"):
     pytest.fail(f"timed out waiting for {message}")
 
 
+def _group_members(pgid: int) -> "list[int]":
+    """Pids of the running processes (zombies excluded) in group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _ppid, pgrp = fh.read().rsplit(") ", 1)[1].split()[:3]
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        if state != "Z" and int(pgrp) == pgid:
+            members.append(int(entry))
+    return members
+
+
+def _spawn_with_pool(launcher: FleetLauncher) -> int:
+    """Spawn one ``--workers 2`` backend, make it fork its pool, and
+    return its pid (which is also its process group id)."""
+    launcher.spawn()
+    pid = launcher.backends[0].pid
+    assert os.getpgid(pid) == pid  # each backend leads its own group
+    with PlanClient(launcher.backends[0].address, timeout=60.0) as client:
+        client.plan("scenario1", n_periods=1)
+    _wait_until(
+        lambda: len(_group_members(pid)) >= 3,
+        timeout_s=30.0,
+        message="the backend and its two pool workers",
+    )
+    return pid
+
+
 class TestSupervision:
+    def test_sigkilled_backend_leaves_no_pool_worker(self, tmp_path):
+        """A SIGKILLed daemon cannot stop its pool; the supervisor kills
+        the backend's process group before it restarts the backend."""
+        restarted: "list[Backend]" = []
+        launcher = _launcher(tmp_path, n_workers=2)
+        try:
+            old_pid = _spawn_with_pool(launcher)
+            launcher.start_supervision(on_restart=restarted.append)
+            backend = launcher.kill(0, signal.SIGKILL)
+            _wait_until(
+                lambda: len(restarted) >= 1 and backend.alive,
+                message="the backend to be restarted",
+            )
+            assert backend.pid != old_pid
+            _wait_until(
+                lambda: _group_members(old_pid) == [],
+                timeout_s=5.0,
+                message="the killed backend's pool workers to exit",
+            )
+        finally:
+            launcher.terminate()
+
     def test_crashed_backend_is_restarted_on_same_address(self, tmp_path):
         restarted: "list[Backend]" = []
         launcher = _launcher(tmp_path)
@@ -98,6 +152,19 @@ class TestDrain:
         assert codes[launcher.backends[1].address] == 0  # clean SIGTERM drain
         for backend in launcher.backends:
             assert not backend.alive
+
+    def test_terminate_stops_a_killed_backends_pool_workers(self, tmp_path):
+        launcher = _launcher(tmp_path, n_workers=2)
+        try:
+            pid = _spawn_with_pool(launcher)
+            launcher.kill(0, signal.SIGKILL)
+        finally:
+            launcher.terminate()
+        _wait_until(
+            lambda: _group_members(pid) == [],
+            timeout_s=5.0,
+            message="the killed backend's pool workers to exit",
+        )
 
     def test_terminate_is_idempotent(self, tmp_path):
         launcher = _launcher(tmp_path)

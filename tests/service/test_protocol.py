@@ -109,6 +109,22 @@ class TestPlanRequest:
             PlanRequest.from_payload(payload)
         assert info.value.code == "bad_request"
 
+    @pytest.mark.parametrize("factor", [1e308, 1.7976931348623157e308])
+    def test_supply_factor_overflowing_the_supply_is_bad_request(self, factor):
+        """A factor that passes ``> 0`` but scales the charging power to inf
+        is rejected here, not by the planner as an internal error."""
+        payload = {"op": "plan", "scenario": "scenario1", "supply_factor": factor}
+        with pytest.raises(ProtocolError) as info:
+            PlanRequest.from_payload(payload)
+        assert info.value.code == "bad_request"
+        assert "supply_factor" in str(info.value)
+
+    def test_large_factor_with_finite_supply_is_accepted(self):
+        peak = float(resolve_scenario("scenario1").charging.values.max())
+        factor = 1e308 / peak
+        req = PlanRequest.from_payload({"scenario": "scenario1", "supply_factor": factor})
+        assert req.supply_factor == factor
+
     def test_int_widens_to_float(self):
         req = PlanRequest.from_payload({"scenario": "scenario1", "supply_factor": 2})
         assert req.supply_factor == 2.0

@@ -263,6 +263,19 @@ class TestBackpressure:
                                  supply_factors=[1.0, 0.9])
         assert info.value.code == "bad_request"
 
+    def test_sweep_factor_overflowing_the_supply_rejected(self, tmp_path, frontier):
+        with running_server(tmp_path, frontier) as server:
+            with PlanClient(server.endpoint, timeout=10.0) as client:
+                with pytest.raises(PlanServiceError) as info:
+                    client.sweep(["scenario1"], policies=["static"],
+                                 supply_factors=[1.0, 1e308])
+                assert info.value.code == "bad_request"
+                assert "supply_factor" in str(info.value)
+                with pytest.raises(PlanServiceError) as info:
+                    client.plan("scenario1", supply_factor=1e308)
+                assert info.value.code == "bad_request"
+                assert "supply_factor" in str(info.value)
+
 
 class TestDrain:
     def test_draining_rejects_new_work_but_answers_status(
